@@ -150,15 +150,10 @@ impl EtfProfile {
     /// The factor in effect at time `t` (clamped to the first step for
     /// negative times).
     pub fn value_at(&self, t: f64) -> f64 {
-        let mut current = self.steps[0].1;
-        for &(start, f) in &self.steps {
-            if t >= start {
-                current = f;
-            } else {
-                break;
-            }
-        }
-        current
+        // Step times rise strictly from 0, so the steps already started
+        // form a prefix.
+        let started = self.steps.partition_point(|&(start, _)| t >= start);
+        self.steps[started.saturating_sub(1)].1
     }
 }
 
