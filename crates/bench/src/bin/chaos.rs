@@ -10,9 +10,9 @@
 //! break.
 //!
 //! `--engine local` (default) closes the loop in-process; `--engine
-//! pair` and `--engine poll` run every cell over real loopback-TCP
-//! lanes (per-lane transport pairs or the many-lane poll engine), so
-//! the survival table can be reproduced under real transport effects.
+//! poll` runs every cell over real loopback-TCP lanes on the many-lane
+//! poll engine, so the survival table can be reproduced under real
+//! transport effects.
 //!
 //! ```text
 //! cargo run --release -p eucon-bench --bin chaos -- --engine poll
@@ -22,22 +22,20 @@ use std::time::Duration;
 
 use eucon_control::{MpcConfig, SupervisorConfig};
 use eucon_core::telemetry::{CsvSink, JsonlSink, Snapshot};
-use eucon_core::{metrics, render, ClosedLoop, ControllerSpec, DistributedLoop, RunResult};
-use eucon_net::TcpConfig;
+use eucon_core::{metrics, render, ControllerSpec, LoopBuilder, NetConfig, RunResult};
 use eucon_sim::{FaultPlan, SensorFaultKind, SimConfig};
 use eucon_tasks::{rms_set_points, workloads};
 use rayon::prelude::*;
 
 const PERIODS: usize = 250;
 
-/// Receive window for the TCP engines (stale lanes wait at most this
-/// long per period).
+/// Receive window for the TCP lanes (stale lanes wait at most this long
+/// per period).
 const RECV_WINDOW: Duration = Duration::from_millis(5);
 
 #[derive(Clone, Copy, PartialEq)]
 enum Engine {
     Local,
-    Pair,
     Poll,
 }
 
@@ -45,7 +43,6 @@ impl Engine {
     fn name(self) -> &'static str {
         match self {
             Engine::Local => "local",
-            Engine::Pair => "pair",
             Engine::Poll => "poll",
         }
     }
@@ -57,11 +54,10 @@ fn parse_engine() -> Engine {
         None => Engine::Local,
         Some("--engine") => match args.next().expect("--engine takes a value").as_str() {
             "local" => Engine::Local,
-            "pair" => Engine::Pair,
             "poll" => Engine::Poll,
-            other => panic!("unknown engine '{other}' (supported: local, pair, poll)"),
+            other => panic!("unknown engine '{other}' (supported: local, poll)"),
         },
-        Some(other) => panic!("unknown argument '{other}' (supported: --engine local|pair|poll)"),
+        Some(other) => panic!("unknown argument '{other}' (supported: --engine local|poll)"),
     }
 }
 /// The scenario whose SUP-EUCON run streams per-period telemetry to
@@ -163,47 +159,27 @@ fn evaluate(
     // The acceptance scenario streams its full per-period telemetry —
     // one CSV and one JSONL row per sampling period.
     let stream_telemetry = scenario == TELEMETRY_SCENARIO && label == "SUP-EUCON";
-    let result: RunResult = if engine == Engine::Local {
-        let mut builder = ClosedLoop::builder(set)
-            .sim_config(SimConfig::constant_etf(0.5))
-            .controller(spec)
-            .faults(plan);
-        if stream_telemetry {
-            builder = builder
-                .telemetry_sink(
-                    CsvSink::create(eucon_bench::results_dir().join("telemetry_chaos.csv"))
-                        .expect("create telemetry csv"),
-                )
-                .telemetry_sink(
-                    JsonlSink::create(eucon_bench::results_dir().join("telemetry_chaos.jsonl"))
-                        .expect("create telemetry jsonl"),
-                );
-        }
-        let mut cl = builder.build().expect("controller builds");
-        cl.run(PERIODS)
-    } else {
-        let mut builder = DistributedLoop::builder(set)
-            .sim_config(SimConfig::constant_etf(0.5))
-            .controller(spec)
-            .faults(plan)
-            .recv_timeout(RECV_WINDOW);
-        builder = match engine {
-            Engine::Pair => builder.tcp(TcpConfig::default()),
-            _ => builder.tcp_poll(TcpConfig::default()),
-        };
-        if stream_telemetry {
-            builder = builder
-                .telemetry_sink(
-                    CsvSink::create(eucon_bench::results_dir().join("telemetry_chaos.csv"))
-                        .expect("create telemetry csv"),
-                )
-                .telemetry_sink(
-                    JsonlSink::create(eucon_bench::results_dir().join("telemetry_chaos.jsonl"))
-                        .expect("create telemetry jsonl"),
-                );
-        }
-        let mut dl = builder.build().expect("controller builds");
-        dl.run(PERIODS)
+    let mut builder = LoopBuilder::new(set)
+        .sim_config(SimConfig::constant_etf(0.5))
+        .controller(spec)
+        .faults(plan);
+    if stream_telemetry {
+        builder = builder
+            .telemetry_sink(
+                CsvSink::create(eucon_bench::results_dir().join("telemetry_chaos.csv"))
+                    .expect("create telemetry csv"),
+            )
+            .telemetry_sink(
+                JsonlSink::create(eucon_bench::results_dir().join("telemetry_chaos.jsonl"))
+                    .expect("create telemetry jsonl"),
+            );
+    }
+    let result: RunResult = match engine {
+        Engine::Local => builder.local().expect("controller builds").run(PERIODS),
+        Engine::Poll => builder
+            .distributed(NetConfig::tcp_poll().recv_timeout(RECV_WINDOW))
+            .expect("controller builds")
+            .run(PERIODS),
     };
     let non_finite = result
         .trace

@@ -3,51 +3,32 @@
 //!
 //! Runs the distributed loop (controller node + per-processor nodes
 //! exchanging binary frames) for `--periods` sampling periods (default
-//! 2000) over each backend configuration of the selected lane engine:
-//!
-//! * `--engine pair` (default) — per-lane transport pairs: ideal
-//!   in-process channels (the bit-exact reference lane), ideal loopback
-//!   TCP, and TCP with 10% report loss plus one period of command delay.
-//! * `--engine poll` — the many-lane poll engine: ideal poll-TCP, the
-//!   same lossy/delayed configuration, and a `--lanes`-wide (default
-//!   1000) raw [`LaneFabric`] sweep soak with a resident-set gate
-//!   (post-warm-up RSS may at most double, plus 32 MiB of slack).
+//! 2000) over each lane configuration: ideal in-process channels (the
+//! bit-exact reference lane), ideal poll-engine TCP, and poll-engine TCP
+//! with 10% report loss plus one period of command delay — then a
+//! `--lanes`-wide (default 1000) raw [`LaneFabric`] sweep soak with a
+//! resident-set gate (post-warm-up RSS may at most double, plus 32 MiB
+//! of slack).
 //!
 //! Every configuration must finish with **zero frame-decode errors** and
 //! zero controller errors — a single corrupted or torn frame fails the
-//! run.  Stats land in `results/net_soak.csv`, which records the engine
-//! and the core count alongside the counters.
+//! run.  Stats land in `results/net_soak.csv`, which records the core
+//! count alongside the counters.
 //!
 //! ```text
-//! cargo run --release -p eucon-bench --bin net_soak -- --engine poll --periods 2000
+//! cargo run --release -p eucon-bench --bin net_soak -- --periods 2000
 //! ```
 
 use std::time::{Duration, Instant};
 
 use eucon_control::MpcConfig;
-use eucon_core::{render, ControllerSpec, DistributedLoop, DistributedLoopBuilder, LaneModel};
+use eucon_core::{render, ControllerSpec, LaneModel, LoopBuilder, NetConfig};
 use eucon_net::{tcp_lane_fabric, FrameKind, LaneFabric, TcpConfig};
 use eucon_sim::SimConfig;
 use eucon_tasks::workloads;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Engine {
-    Pair,
-    Poll,
-}
-
-impl Engine {
-    fn name(self) -> &'static str {
-        match self {
-            Engine::Pair => "pair",
-            Engine::Poll => "poll",
-        }
-    }
-}
-
 struct Args {
     periods: usize,
-    engine: Engine,
     lanes: usize,
     seed: u64,
 }
@@ -55,7 +36,6 @@ struct Args {
 fn parse_args() -> Args {
     let mut parsed = Args {
         periods: 2000,
-        engine: Engine::Pair,
         lanes: 1000,
         seed: 3,
     };
@@ -66,25 +46,12 @@ fn parse_args() -> Args {
             "--periods" => parsed.periods = value().parse().expect("--periods takes an integer"),
             "--lanes" => parsed.lanes = value().parse().expect("--lanes takes an integer"),
             "--seed" => parsed.seed = value().parse().expect("--seed takes an integer"),
-            "--engine" => {
-                parsed.engine = match value().as_str() {
-                    "pair" => Engine::Pair,
-                    "poll" => Engine::Poll,
-                    other => panic!("unknown engine '{other}' (supported: pair, poll)"),
-                }
+            other => {
+                panic!("unknown argument '{other}' (supported: --periods N, --lanes N, --seed S)")
             }
-            other => panic!(
-                "unknown argument '{other}' \
-                 (supported: --periods N, --engine pair|poll, --lanes N, --seed S)"
-            ),
         }
     }
     parsed
-}
-
-struct Soak {
-    name: &'static str,
-    configure: fn(DistributedLoopBuilder) -> DistributedLoopBuilder,
 }
 
 /// Receive window for the TCP soaks: long enough that delivery is
@@ -92,43 +59,22 @@ struct Soak {
 /// stale periods don't dominate wall time.
 const RECV_WINDOW: Duration = Duration::from_millis(5);
 
-fn soaks(engine: Engine) -> Vec<Soak> {
-    match engine {
-        Engine::Pair => vec![
-            Soak {
-                name: "channel ideal",
-                configure: |b| b.channel(4),
-            },
-            Soak {
-                name: "tcp ideal",
-                configure: |b| b.tcp(TcpConfig::default()).recv_timeout(RECV_WINDOW),
-            },
-            Soak {
-                name: "tcp 10% report loss + cmd delay 1",
-                configure: |b| {
-                    b.tcp(TcpConfig::default())
-                        .report_lanes(LaneModel::lossy(0.1, 77))
-                        .command_lanes(LaneModel::delayed(1))
-                        .recv_timeout(RECV_WINDOW)
-                },
-            },
-        ],
-        Engine::Poll => vec![
-            Soak {
-                name: "tcp-poll ideal",
-                configure: |b| b.tcp_poll(TcpConfig::default()).recv_timeout(RECV_WINDOW),
-            },
-            Soak {
-                name: "tcp-poll 10% report loss + cmd delay 1",
-                configure: |b| {
-                    b.tcp_poll(TcpConfig::default())
-                        .report_lanes(LaneModel::lossy(0.1, 77))
-                        .command_lanes(LaneModel::delayed(1))
-                        .recv_timeout(RECV_WINDOW)
-                },
-            },
-        ],
-    }
+/// The soaked lane configurations, by name.
+fn soaks() -> [(&'static str, NetConfig); 3] {
+    [
+        ("channel ideal", NetConfig::channel()),
+        (
+            "tcp-poll ideal",
+            NetConfig::tcp_poll().recv_timeout(RECV_WINDOW),
+        ),
+        (
+            "tcp-poll 10% report loss + cmd delay 1",
+            NetConfig::tcp_poll()
+                .report_lanes(LaneModel::lossy(0.1, 77))
+                .command_lanes(LaneModel::delayed(1))
+                .recv_timeout(RECV_WINDOW),
+        ),
+    ]
 }
 
 /// Resident-set size in bytes, if the platform exposes
@@ -252,19 +198,15 @@ fn fabric_soak(lanes: usize, periods: usize, seed: u64) -> Vec<String> {
 fn main() {
     let args = parse_args();
     let periods = args.periods;
-    let engine = args.engine;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "== Transport soak: SIMPLE, etf = 0.5, {periods} periods per backend, \
-         engine {} ==\n",
-        engine.name()
-    );
+    println!("== Transport soak: SIMPLE, etf = 0.5, {periods} periods per backend ==\n");
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for soak in soaks(engine) {
-        let builder = DistributedLoop::builder(workloads::simple())
+    for (name, net) in soaks() {
+        let mut dl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5).seed(args.seed))
-            .controller(ControllerSpec::Eucon(MpcConfig::simple()));
-        let mut dl = (soak.configure)(builder).build().expect("loop builds");
+            .controller(ControllerSpec::Eucon(MpcConfig::simple()))
+            .distributed(net)
+            .expect("loop builds");
         let started = Instant::now();
         let result = dl.run(periods);
         let elapsed = started.elapsed();
@@ -276,21 +218,21 @@ fn main() {
         assert_eq!(
             stats.decode_errors, 0,
             "'{}': frame decode errors after {periods} periods",
-            soak.name
+            name
         );
         assert_eq!(
             result.control_errors, 0,
             "'{}': controller errors after {periods} periods",
-            soak.name
+            name
         );
         assert!(
             stats.received > 0,
             "'{}': no frames arrived — the lanes are dead",
-            soak.name
+            name
         );
 
         rows.push(vec![
-            soak.name.to_string(),
+            name.to_string(),
             stats.sent.to_string(),
             stats.received.to_string(),
             stats.dropped.to_string(),
@@ -301,18 +243,15 @@ fn main() {
         ]);
         println!(
             "  [{}] ok: {} frames sent, {} received, {} dropped, 0 decode errors ({:.2}s)",
-            soak.name,
+            name,
             stats.sent,
             stats.received,
             stats.dropped,
             elapsed.as_secs_f64()
         );
     }
-    if engine == Engine::Poll {
-        rows.push(fabric_soak(args.lanes, periods, args.seed));
-    }
+    rows.push(fabric_soak(args.lanes, periods, args.seed));
     for row in &mut rows {
-        row.push(engine.name().to_string());
         row.push(cores.to_string());
     }
     let headers = [
@@ -324,7 +263,6 @@ fn main() {
         "stale reuse",
         "bytes sent",
         "secs",
-        "engine",
         "cores",
     ];
     println!("\n{}", render::table(&headers, &rows));
@@ -340,7 +278,6 @@ fn main() {
                 "stale_reuse",
                 "bytes_sent",
                 "seconds",
-                "engine",
                 "cores",
             ],
             &rows,

@@ -1,7 +1,6 @@
 //! The EUCON feedback loop: simulator + controller, one exchange per
 //! sampling period.
 
-use std::collections::VecDeque;
 use std::time::Instant;
 
 use eucon_control::{
@@ -17,7 +16,7 @@ use crate::admission::{
     PendingArrival, RejectReason,
 };
 use crate::distributed::{NetConfig, NetRuntime};
-use crate::lanes::LaneState;
+use crate::feedback::Feedback;
 use crate::metrics::{self, SeriesStats};
 use crate::plant::{Plant, PlantFactory, SimPlant};
 use crate::shardnet::{BoundaryMode, NetShardedController};
@@ -277,18 +276,15 @@ pub struct ClosedLoop {
     set_points: Vector,
     trace: Trace,
     control_errors: usize,
-    lanes: LaneState,
+    /// The feedback path: report exchange, lane staleness, partitions,
+    /// actuation delay and drops, command merge — over in-loop lanes or
+    /// real transport lanes.
+    feedback: Feedback,
     /// Per-task discrete rate grids when actuation is quantized.
     rate_grid: Option<Vec<Vec<f64>>>,
     /// Fault injector driving scripted/stochastic faults (None = the
     /// fault-free fast path: zero per-period overhead).
     injector: Option<FaultInjector>,
-    /// Processor hosting each task's rate modulator (first subtask) —
-    /// actuation-lane faults are routed per task through this map.
-    head_proc: Vec<usize>,
-    /// Rate commands in flight when actuation is delayed.
-    act_queue: VecDeque<Vector>,
-    act_delay: usize,
     summary: FaultSummary,
     /// Whether steps are accumulated into the trace (off for long
     /// unattended runs that only need the final statistics).
@@ -299,25 +295,12 @@ pub struct ClosedLoop {
     /// What the monitors reported after sensor faults (persistent scratch,
     /// only touched when an injector is configured).
     sensed: Vector,
-    /// Processors whose actuation lane dropped this period (persistent
-    /// fault-routing scratch).
-    dropped: Vec<usize>,
     /// The most recent period's record, rewritten in place each step.
     last: TraceStep,
     /// Metric registry + sinks, fed at the end of every period.  Boxed so
     /// the loop struct itself stays compact (it is moved by value out of
     /// the builder, and its hot fields should share cache lines).
     telemetry: Box<LoopTelemetry>,
-    /// Transport lanes in distributed mode (`None` = single-process loop;
-    /// phases 4 and 6 then bypass the lanes entirely).
-    pub(crate) net: Option<Box<NetRuntime>>,
-    /// Last utilization each feedback lane delivered — what a partitioned
-    /// lane's entry falls back to in the single-process loop (distributed
-    /// mode keeps its own hold inside [`NetRuntime`]).
-    lane_hold: Vector,
-    /// Whether the fault plan schedules lane partitions (skips the
-    /// partition bookkeeping entirely when it does not).
-    has_partitions: bool,
     /// Runtime-membership executor (`None` = static task set: the churn
     /// machinery is bypassed entirely, keeping churn-free traces
     /// bit-identical to builds without it).
@@ -327,8 +310,9 @@ pub struct ClosedLoop {
     /// arities diverge under churn.  Only consulted when `admission` is
     /// engaged.
     ctrl_cols: Vec<TaskId>,
-    /// Full sim-arity actuation command (persistent scratch — rewritten
-    /// in place every period on the slow path, grown on admission).
+    /// Full sim-arity actuation command when rates are quantized or the
+    /// task set churns (persistent scratch — rewritten in place every
+    /// period, grown on admission).
     act_cmd: Vector,
 }
 
@@ -415,8 +399,13 @@ impl ClosedLoopBuilder {
     ///
     /// Sink I/O failures never stop the loop; they are counted in the
     /// `sink_errors` metric.
-    pub fn telemetry_sink(mut self, sink: impl TelemetrySink + 'static) -> Self {
-        self.sinks.push(Box::new(sink));
+    pub fn telemetry_sink(self, sink: impl TelemetrySink + 'static) -> Self {
+        self.push_sink(Box::new(sink))
+    }
+
+    /// [`ClosedLoopBuilder::telemetry_sink`] for an already boxed sink.
+    pub(crate) fn push_sink(mut self, sink: Box<dyn TelemetrySink>) -> Self {
+        self.sinks.push(sink);
         self
     }
 
@@ -582,6 +571,12 @@ impl ClosedLoopBuilder {
             .iter()
             .map(|t| t.subtasks()[0].processor.0)
             .collect();
+        let feedback = Feedback::local(
+            self.lanes,
+            &self.faults,
+            self.set.num_processors(),
+            head_proc,
+        );
         let injector = if self.faults.is_empty() {
             None
         } else {
@@ -590,8 +585,6 @@ impl ClosedLoopBuilder {
                 self.set.num_processors(),
             ))
         };
-        let act_delay = self.faults.actuation_delay_periods();
-        let has_partitions = self.faults.has_partitions();
         let num_procs = self.set.num_processors();
         let num_tasks = self.set.num_tasks();
         // Churn machinery engages only for a non-empty plan (or an
@@ -659,22 +652,15 @@ impl ClosedLoopBuilder {
             set_points,
             trace: Trace::new(),
             control_errors: 0,
-            lanes: LaneState::new(self.lanes),
+            feedback,
             rate_grid,
             injector,
-            head_proc,
-            act_queue: VecDeque::new(),
-            act_delay,
             summary: FaultSummary::default(),
             record: self.record,
             u_scratch: Vector::zeros(num_procs),
             sensed: Vector::zeros(num_procs),
-            dropped: Vec::new(),
             last: TraceStep::clean(0.0, Vector::zeros(num_procs), Vector::zeros(num_tasks)),
             telemetry,
-            net: None,
-            lane_hold: Vector::zeros(num_procs),
-            has_partitions,
             admission,
             ctrl_cols: (0..num_tasks).map(TaskId).collect(),
             act_cmd: Vector::zeros(num_tasks),
@@ -743,14 +729,15 @@ impl ClosedLoop {
     }
 
     /// Connects the transport lanes of a distributed loop (called by
-    /// `DistributedLoopBuilder::build`; the loop must not have stepped).
+    /// [`crate::LoopBuilder::distributed`]; the loop must not have
+    /// stepped).
     pub(crate) fn attach_net(&mut self, cfg: &NetConfig) -> Result<(), CoreError> {
-        self.net = Some(Box::new(NetRuntime::new(
-            cfg,
-            self.set_points.len(),
-            &self.head_proc,
-        )?));
-        Ok(())
+        self.feedback.connect(cfg)
+    }
+
+    /// The transport lanes, in distributed mode.
+    pub(crate) fn transport(&self) -> Option<&NetRuntime> {
+        self.feedback.transport()
     }
 
     /// Fault and degradation counters so far.
@@ -788,7 +775,8 @@ impl ClosedLoop {
         if let Some(inj) = &mut self.injector {
             ann.crashed = inj.begin_period(k);
             self.summary.crashed_periods += ann.crashed.len();
-            for p in 0..self.set_points.len() {
+            let n = self.set_points.len();
+            for p in 0..n {
                 self.plant
                     .set_speed_override(ProcessorId(p), inj.speed_factor(k, p));
                 if ann.crashed.contains(&p) {
@@ -797,14 +785,9 @@ impl ClosedLoop {
                     self.plant.recover_processor(ProcessorId(p));
                 }
             }
-        }
-        if self.has_partitions {
-            if let Some(inj) = &self.injector {
-                let n = self.set_points.len();
-                ann.partitioned
-                    .extend((0..n).filter(|&p| inj.lane_partitioned(k, p)));
-                self.summary.partitioned_periods += ann.partitioned.len();
-            }
+            ann.partitioned
+                .extend((0..n).filter(|&p| inj.lane_partitioned(k, p)));
+            self.summary.partitioned_periods += ann.partitioned.len();
         }
 
         // 2. Run the plant and sample the true utilizations into the
@@ -832,48 +815,17 @@ impl ClosedLoop {
             &self.u_scratch
         };
 
-        // 4. The report crosses the feedback lanes (possibly delayed or
-        // lost, or — in distributed mode — real transport frames); `None`
-        // means it arrived unchanged.
-        let mut laned = match &mut self.net {
-            Some(net) => net.exchange_reports(k, u_report, &ann.partitioned),
-            None => self.lanes.transmit(u_report),
-        };
-        if self.net.is_none() && self.has_partitions {
-            // A partitioned lane delivers nothing: the controller keeps
-            // the lane's last delivered value for those entries.
-            if !ann.partitioned.is_empty() {
-                let mut v = laned.take().unwrap_or_else(|| u_report.clone());
-                for &p in &ann.partitioned {
-                    v[p] = self.lane_hold[p];
-                }
-                laned = Some(v);
-            }
-            let delivered = laned.as_ref().unwrap_or(u_report);
-            for p in 0..self.set_points.len() {
-                if !ann.partitioned.contains(&p) {
-                    self.lane_hold[p] = delivered[p];
-                }
-            }
-        }
+        // 4. The report crosses the feedback lanes (possibly delayed,
+        // lost, partitioned, or real transport frames); `None` means it
+        // arrived unchanged.  Silent lanes are flagged to the controller.
+        let laned = self
+            .feedback
+            .exchange(k, u_report, &ann.partitioned, &mut *self.controller);
         let u_ctrl = laned.as_ref().unwrap_or(u_report);
 
         // 5. Control update: the controller commits its new rates
-        // internally; on error the previous rates stay in force.  Silent
-        // lanes are flagged first, so a watchdog treats them like dead
-        // monitors.
+        // internally; on error the previous rates stay in force.
         let t_sampled = Instant::now();
-        if let Some(net) = &self.net {
-            for p in 0..self.set_points.len() {
-                if net.lane_stale(p) {
-                    self.controller.note_stale(p);
-                }
-            }
-        } else {
-            for &p in &ann.partitioned {
-                self.controller.note_stale(p);
-            }
-        }
         if self.controller.update(u_ctrl).is_err() {
             self.control_errors += 1;
             ann.control_error = true;
@@ -884,115 +836,30 @@ impl ClosedLoop {
         }
         let t_controlled = Instant::now();
 
-        // 6. Actuation: quantize, then cross the (possibly faulty)
-        // actuation lanes to the rate modulators.  The common fault-free
-        // configuration hands the controller's rates to the modulators by
-        // reference — no copy, no allocation.
-        if self.rate_grid.is_none()
-            && self.act_delay == 0
-            && self.injector.is_none()
-            && self.net.is_none()
-            && self.admission.is_none()
-        {
-            self.plant.apply_rates(self.controller.rates());
+        // 6. Actuation: the command — the controller's rates, quantized
+        // and routed to sim slots when needed — crosses the actuation
+        // path to the rate modulators.
+        let cmd = if self.rate_grid.is_none() && self.admission.is_none() {
+            self.controller.rates()
         } else {
-            // Assemble this period's full sim-arity command into the
-            // persistent scratch (no allocation in steady state).
-            if self.admission.is_some() {
-                // Under churn the controller may command fewer columns
-                // than the sim has slots: start from the rates in force
-                // (departed / unmanaged slots keep theirs) and route the
-                // controller's output through the live column map.
-                self.act_cmd.copy_from_slice(self.plant.rates_in_force());
-                let rates = self.controller.rates();
-                for (c, &tid) in self.ctrl_cols.iter().enumerate() {
-                    let r = rates[c];
-                    self.act_cmd[tid.0] = match &self.rate_grid {
-                        Some(grid) => snap_to_grid(&grid[tid.0], r),
-                        None => r,
-                    };
-                }
-            } else {
-                match &self.rate_grid {
-                    Some(grid) => {
-                        let rates = self.controller.rates();
-                        for t in 0..rates.len() {
-                            self.act_cmd[t] = snap_to_grid(&grid[t], rates[t]);
-                        }
-                    }
-                    None => self.act_cmd.copy_from(self.controller.rates()),
-                }
-            }
-            let arriving = if self.act_delay > 0 {
-                self.act_queue.push_back(self.act_cmd.clone());
-                if self.act_queue.len() > self.act_delay {
-                    let front = self.act_queue.pop_front().expect("queue just pushed");
-                    // `clone_from` (not `copy_from`): a queued command may
-                    // predate an admission and be one entry short.
-                    self.act_cmd.clone_from(&front);
-                    while self.act_cmd.len() < self.plant.rates_in_force().len() {
-                        let t = self.act_cmd.len();
-                        self.act_cmd.push(self.plant.rates_in_force()[t]);
-                    }
-                    true
-                } else {
-                    // Nothing has crossed the actuation lanes yet; the
-                    // rates in force stay in force.
-                    false
-                }
-            } else {
-                true
-            };
-            if arriving {
-                if let Some(inj) = &mut self.injector {
-                    // A dropped lane means every task modulated on that
-                    // processor keeps its previous rate this period.
-                    let n = self.set_points.len();
-                    self.dropped.clear();
-                    self.dropped
-                        .extend((0..n).filter(|&p| inj.actuation_lost(p)));
-                    if !self.dropped.is_empty() {
-                        let in_force = self.plant.rates_in_force();
-                        for (t, &p) in self.head_proc.iter().enumerate() {
-                            if self.dropped.contains(&p) {
-                                self.act_cmd[t] = in_force[t];
-                            }
-                        }
-                        ann.actuation_dropped = self.dropped.clone();
-                    }
-                }
-                if let Some(net) = &mut self.net {
-                    // Distributed mode: the command crosses the lanes and
-                    // the modulators merge whatever arrived (a silent or
-                    // partitioned lane keeps its tasks' rates in force).
-                    let merged = net.actuate(
-                        k,
-                        &self.act_cmd,
-                        self.plant.rates_in_force(),
-                        &ann.partitioned,
-                    );
-                    self.plant.apply_rates(merged);
-                } else {
-                    if !ann.partitioned.is_empty() {
-                        // Partitioned lanes can't deliver commands either:
-                        // their tasks keep the rates in force.
-                        let in_force = self.plant.rates_in_force();
-                        for (t, &p) in self.head_proc.iter().enumerate() {
-                            if ann.partitioned.contains(&p) {
-                                self.act_cmd[t] = in_force[t];
-                            }
-                        }
-                    }
-                    self.plant.apply_rates(&self.act_cmd);
-                }
-            }
+            self.assemble_command();
+            &self.act_cmd
+        };
+        if let Some(rates) = self.feedback.actuate(
+            k,
+            cmd,
+            self.plant.rates_in_force(),
+            self.injector.as_mut(),
+            &mut ann,
+        ) {
+            self.plant.apply_rates(rates);
         }
         let t_actuated = Instant::now();
 
         // 7. Telemetry: fold this period's observations into the metric
         // registry (and any sinks) — controller internals via the
         // consolidated observer interface, engine counters as deltas.
-        let net_obs = self.net.as_mut().map(|n| n.period_observation());
+        let net_obs = self.feedback.observation();
         let churn_obs = self.admission.as_ref().map(|a| ChurnPeriod {
             admitted: a.period_delta.admitted,
             rejected: a.period_delta.rejected,
@@ -1107,6 +974,27 @@ impl ClosedLoop {
             .as_ref()
             .map(|a| a.summary())
             .unwrap_or_default()
+    }
+
+    /// Writes this period's full sim-arity command into `act_cmd`: the
+    /// controller's rates snapped to the rate grid, and under churn
+    /// routed through the live column map (departed or unmanaged slots
+    /// keep the rates in force).
+    fn assemble_command(&mut self) {
+        let rates = self.controller.rates();
+        if self.admission.is_some() {
+            self.act_cmd.copy_from_slice(self.plant.rates_in_force());
+            for (c, &tid) in self.ctrl_cols.iter().enumerate() {
+                self.act_cmd[tid.0] = match &self.rate_grid {
+                    Some(grid) => snap_to_grid(&grid[tid.0], rates[c]),
+                    None => rates[c],
+                };
+            }
+        } else if let Some(grid) = &self.rate_grid {
+            for t in 0..rates.len() {
+                self.act_cmd[t] = snap_to_grid(&grid[t], rates[t]);
+            }
+        }
     }
 
     /// Applies due membership changes at the top of period `k`: deferred
@@ -1238,7 +1126,7 @@ impl ClosedLoop {
             .admit_task(task.clone())
             .expect("churn plan validated at build time");
         self.ctrl_cols.push(tid);
-        self.head_proc.push(task.subtasks()[0].processor.0);
+        self.feedback.add_task(task.subtasks()[0].processor.0);
         if let Some(grid) = &mut self.rate_grid {
             let lo = task.rate_min();
             let hi = task.rate_max();
@@ -1254,9 +1142,6 @@ impl ClosedLoop {
         self.act_cmd.push(started);
         // Commands already in the delay queue predate this task; they will
         // be padded with the in-force rate when they arrive.
-        if let Some(net) = &mut self.net {
-            net.add_task(task.subtasks()[0].processor.0);
-        }
         Ok(tid)
     }
 

@@ -79,10 +79,10 @@ impl Default for LaneModel {
 /// Run-time state of the lane model inside a closed loop.
 ///
 /// Public as the *reference semantics* of a delayed/lossy lane: the
-/// transport-level `DelayLoss` middleware in `eucon-net` must agree with
-/// this model draw-for-draw (the transport-equivalence property tests
-/// compare the two directly), so a distributed loop over real lanes and
-/// a single-process loop over [`LaneModel`] see the same network.
+/// transport-level `DelayLossGate` in `eucon-net` must agree with this
+/// model draw-for-draw (the transport-equivalence property test compares
+/// the two directly), so a distributed loop over real lanes and a
+/// single-process loop over [`LaneModel`] see the same network.
 #[derive(Debug)]
 pub struct LaneState {
     model: LaneModel,

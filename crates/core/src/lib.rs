@@ -66,6 +66,7 @@ mod distributed;
 mod error;
 pub mod experiments;
 mod factory;
+mod feedback;
 mod fleet;
 mod lanes;
 mod loop_builder;
@@ -88,7 +89,7 @@ pub use closed_loop::{
     ClosedLoop, ClosedLoopBuilder, ControllerSpec, FaultSummary, RunMetrics, RunResult,
     DEFAULT_SAMPLING_PERIOD,
 };
-pub use distributed::{DistributedLoop, DistributedLoopBuilder, LaneEngine, NetBackend, NetConfig};
+pub use distributed::{DistributedLoop, NetBackend, NetConfig};
 pub use error::CoreError;
 pub use experiments::{SteadyRun, SweepPoint, VaryingRun};
 pub use factory::{factory_fn, ControllerFactory};
@@ -108,5 +109,5 @@ pub use trace::{StepAnnotations, Trace, TraceStep};
 
 /// The transport layer of distributed mode, re-exported: the
 /// [`net::Transport`] trait, the wire [`net::Frame`] format, the channel
-/// and TCP backends and the [`net::DelayLoss`] middleware.
+/// backend, the TCP poll engine and the [`net::DelayLossGate`].
 pub use eucon_net as net;

@@ -2,7 +2,7 @@
 //!
 //! Before v0.3, local loops, distributed loops and fleet runs each had
 //! their own builder with overlapping-but-diverging surfaces
-//! ([`ClosedLoopBuilder`], `DistributedLoopBuilder`, [`FleetConfig`] +
+//! ([`ClosedLoopBuilder`], a distributed-loop builder, [`FleetConfig`] +
 //! [`FleetLoopSpec`]).  [`LoopBuilder`] collapses them: describe the
 //! experiment once, then pick the execution mode with a finisher —
 //!
@@ -15,9 +15,11 @@
 //!
 //! Options a mode cannot honour fail fast with [`CoreError::Config`]
 //! (at the finisher or at [`FleetPlan::run`]) instead of being silently
-//! dropped.  The old builders remain available — and bit-identical:
-//! every finisher lowers onto them, so the golden trace hashes are
-//! unchanged through this facade (pinned in `tests/facade_v03.rs`).
+//! dropped.  [`LoopBuilder`] is the only way to build a
+//! [`DistributedLoop`]; the local and fleet finishers lower onto
+//! [`ClosedLoopBuilder`] and [`FleetLoopSpec`], so the golden trace
+//! hashes are unchanged through this facade (pinned in
+//! `tests/facade_v03.rs`).
 
 use std::sync::Arc;
 
@@ -26,6 +28,7 @@ use eucon_sim::{FaultPlan, SimConfig};
 use eucon_tasks::TaskSet;
 
 use crate::plant::PlantFactory;
+use crate::telemetry::TelemetrySink;
 use crate::{
     AdmissionPolicy, ChurnPlan, ClosedLoop, ClosedLoopBuilder, ControllerSpec, CoreError,
     DistributedLoop, FleetConfig, FleetLoopSpec, FleetReport, FleetRunner, LaneModel, NetConfig,
@@ -69,6 +72,7 @@ pub struct LoopBuilder {
     record_trace: Option<bool>,
     sampling_period: Option<f64>,
     telemetry_batch: Option<usize>,
+    sinks: Vec<Box<dyn TelemetrySink>>,
     plant: Option<Arc<dyn PlantFactory>>,
 }
 
@@ -100,6 +104,7 @@ impl LoopBuilder {
             record_trace: None,
             sampling_period: None,
             telemetry_batch: None,
+            sinks: Vec::new(),
             plant: None,
         }
     }
@@ -189,6 +194,14 @@ impl LoopBuilder {
         self
     }
 
+    /// Attaches a telemetry sink fed one row per sampling period (see
+    /// [`ClosedLoopBuilder::telemetry_sink`]).  Local and distributed
+    /// modes only — the fleet runner rejects it.
+    pub fn telemetry_sink(mut self, sink: impl TelemetrySink + 'static) -> Self {
+        self.sinks.push(Box::new(sink));
+        self
+    }
+
     /// Lowers the shared options onto a [`ClosedLoopBuilder`].
     fn lower(self) -> ClosedLoopBuilder {
         let mut b = ClosedLoop::builder(self.set)
@@ -222,6 +235,9 @@ impl LoopBuilder {
         if let Some(factory) = self.plant {
             b = b.plant(factory);
         }
+        for sink in self.sinks {
+            b = b.push_sink(sink);
+        }
         b
     }
 
@@ -239,9 +255,11 @@ impl LoopBuilder {
     ///
     /// # Errors
     ///
-    /// Everything the distributed builder rejects, plus
-    /// [`CoreError::Config`] when [`LoopBuilder::lanes`] was set (use
-    /// `net.report_lanes` / `net.command_lanes` instead).
+    /// Everything [`ClosedLoopBuilder::build`] rejects,
+    /// [`CoreError::Transport`] when the backend fails to connect (e.g.
+    /// binding the loopback sockets), and [`CoreError::Config`] for
+    /// out-of-domain lane parameters or when [`LoopBuilder::lanes`] was
+    /// set (use `net.report_lanes` / `net.command_lanes` instead).
     pub fn distributed(mut self, net: NetConfig) -> Result<DistributedLoop, CoreError> {
         if self.lanes.take().is_some() {
             return Err(CoreError::Config(
@@ -261,6 +279,9 @@ impl LoopBuilder {
         let mut unsupported = Vec::new();
         if self.lanes.is_some() {
             unsupported.push("lanes");
+        }
+        if !self.sinks.is_empty() {
+            unsupported.push("telemetry_sink");
         }
         if self.quantized_rates.is_some() {
             unsupported.push("quantized_rates");
@@ -426,6 +447,16 @@ mod tests {
             .distributed(NetConfig::channel())
             .unwrap_err();
         assert!(err.to_string().contains("report_lanes"), "{err}");
+    }
+
+    #[test]
+    fn fleet_rejects_telemetry_sinks_at_run() {
+        let err = LoopBuilder::new(workloads::simple())
+            .telemetry_sink(crate::telemetry::RingBufferSink::new(4))
+            .fleet(2)
+            .run(10)
+            .unwrap_err();
+        assert!(err.to_string().contains("telemetry_sink"), "{err}");
     }
 
     #[test]

@@ -51,7 +51,9 @@ use eucon_sim::{FaultPlan, SimConfig};
 use eucon_tasks::{workloads, TaskSet};
 
 use crate::plant::PlantFactory;
-use crate::{ControllerSpec, CoreError, DistributedLoop, LaneModel, NetConfig, RunResult};
+use crate::{
+    ControllerSpec, CoreError, DistributedLoop, LaneModel, LoopBuilder, NetConfig, RunResult,
+};
 
 /// Identifies one tenant inside a [`ControlService`].
 ///
@@ -253,18 +255,17 @@ impl TenantSpec {
     }
 
     fn build(self) -> Result<(String, DistributedLoop), CoreError> {
-        let mut b = DistributedLoop::builder(self.set)
+        let mut b = LoopBuilder::new(self.set)
             .sim_config(self.sim)
             .controller(self.controller)
-            .faults(self.faults)
-            .net(self.net);
+            .faults(self.faults);
         if let Some(points) = self.set_points {
             b = b.set_points(points);
         }
         if let Some(factory) = self.plant {
             b = b.plant(factory);
         }
-        Ok((self.name, b.build()?))
+        Ok((self.name, b.distributed(self.net)?))
     }
 }
 
@@ -417,12 +418,7 @@ impl ControlService {
             }
             t.dloop.step();
             let lanes = t.dloop.set_points().len() as u64;
-            let silent = t
-                .dloop
-                .net
-                .as_ref()
-                .map(|n| lanes > 0 && n.stale_lanes() == lanes)
-                .unwrap_or(false);
+            let silent = lanes > 0 && t.dloop.stale_lanes() == lanes;
             let period = t.dloop.periods_elapsed();
             if silent {
                 t.silent_streak += 1;

@@ -14,7 +14,7 @@
 mod trace_hash;
 
 use eucon_control::MpcConfig;
-use eucon_core::{BoundaryMode, ClosedLoop, ControllerSpec, DistributedLoop, RunResult};
+use eucon_core::{BoundaryMode, ClosedLoop, ControllerSpec, LoopBuilder, NetConfig, RunResult};
 use eucon_sim::{ExecModel, SimConfig};
 use eucon_tasks::workloads;
 use trace_hash::hash_result;
@@ -37,11 +37,10 @@ fn run_closed(spec: ControllerSpec) -> RunResult {
 }
 
 fn run_distributed(spec: ControllerSpec) -> RunResult {
-    DistributedLoop::builder(workloads::medium())
+    LoopBuilder::new(workloads::medium())
         .sim_config(sim_config())
         .controller(spec)
-        .channel(4)
-        .build()
+        .distributed(NetConfig::channel())
         .expect("distributed loop")
         .run(PERIODS)
 }

@@ -10,7 +10,7 @@
 #![allow(dead_code)]
 
 use eucon_control::MpcConfig;
-use eucon_core::{ChurnPlan, ClosedLoop, ControllerSpec, DistributedLoop, RunResult};
+use eucon_core::{ChurnPlan, ClosedLoop, ControllerSpec, LoopBuilder, NetConfig, RunResult};
 use eucon_math::Vector;
 use eucon_sim::{ExecModel, FaultPlan, SimConfig};
 use eucon_tasks::{workloads, TaskSet};
@@ -198,13 +198,12 @@ impl Scenario {
     /// churn plan — same bit-identity contract as
     /// [`Scenario::run_single_zero_churn`].
     pub fn run_distributed_zero_churn(self) -> RunResult {
-        DistributedLoop::builder(self.workload())
+        LoopBuilder::new(self.workload())
             .sim_config(self.sim_config())
             .controller(self.controller())
             .faults(self.faults())
             .churn(ChurnPlan::none())
-            .channel(4)
-            .build()
+            .distributed(NetConfig::channel())
             .expect("distributed loop")
             .run(GOLDEN_PERIODS)
     }
@@ -213,12 +212,11 @@ impl Scenario {
     /// in-process channel lanes — must be bit-identical to
     /// [`Scenario::run_single`].
     pub fn run_distributed_channel(self) -> RunResult {
-        DistributedLoop::builder(self.workload())
+        LoopBuilder::new(self.workload())
             .sim_config(self.sim_config())
             .controller(self.controller())
             .faults(self.faults())
-            .channel(4)
-            .build()
+            .distributed(NetConfig::channel())
             .expect("distributed loop")
             .run(GOLDEN_PERIODS)
     }
@@ -230,13 +228,11 @@ impl Scenario {
     /// so every report lands within the window and the trace carries no
     /// timing artifacts.
     pub fn run_distributed_poll(self) -> RunResult {
-        DistributedLoop::builder(self.workload())
+        LoopBuilder::new(self.workload())
             .sim_config(self.sim_config())
             .controller(self.controller())
             .faults(self.faults())
-            .tcp_poll(Default::default())
-            .recv_timeout(std::time::Duration::from_millis(200))
-            .build()
+            .distributed(NetConfig::tcp_poll().recv_timeout(std::time::Duration::from_millis(200)))
             .expect("distributed poll loop")
             .run(GOLDEN_PERIODS)
     }

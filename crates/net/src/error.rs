@@ -36,7 +36,7 @@ impl Error for FrameError {}
 #[non_exhaustive]
 pub enum TransportError {
     /// The peer endpoint is gone and cannot be reached (the channel's
-    /// other half was dropped, or a TCP endpoint exhausted reconnection).
+    /// other half was dropped, or a TCP lane broke).
     Disconnected,
     /// A send did not complete within the configured send timeout.
     Timeout,

@@ -11,8 +11,7 @@
 
 use std::net::{TcpListener, TcpStream};
 
-use crate::poll::PollEngine;
-use crate::tcp::TcpConfig;
+use crate::poll::{PollEngine, TcpConfig};
 
 /// Both sides of a set of connected lanes, each side one [`PollEngine`].
 ///

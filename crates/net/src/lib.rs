@@ -8,19 +8,16 @@
 //! * [`Frame`] — the versioned, compact binary wire format
 //!   (utilization reports up, rate commands down; `f64` payloads
 //!   round-trip bit-for-bit).
-//! * [`Transport`] — the backend-agnostic lane interface, with two
-//!   backends: [`channel_pair`] (bounded in-process queues with
-//!   drop-oldest backpressure — the *ideal lane*) and [`tcp_pair`]
-//!   (real nonblocking loopback TCP with partial-frame reassembly and
-//!   reconnect backoff).
-//! * [`DelayLoss`] — network effects (report delay, report loss) as
-//!   middleware composable over any backend, draw-for-draw compatible
-//!   with the closed loop's `LaneModel` (the decision core is exposed
-//!   as [`DelayLossGate`] for transports that bypass the middleware).
-//! * [`PollEngine`] / [`LaneFabric`] — the many-lane runtime: one
-//!   sweep-based readiness loop multiplexing thousands of nonblocking
-//!   TCP lanes with zero-copy [`FrameView`] decode and allocation-free
-//!   [`encode_frame`] sends — no thread per lane.
+//! * [`Transport`] — the lane-endpoint interface, with the in-process
+//!   backend [`channel_pair`] (bounded queues with drop-oldest
+//!   backpressure — the *ideal lane*).
+//! * [`DelayLossGate`] — network effects (delay, loss) in front of any
+//!   sending endpoint, draw-for-draw compatible with the closed loop's
+//!   `LaneModel`.
+//! * [`PollEngine`] / [`LaneFabric`] — real TCP lanes: one sweep-based
+//!   readiness loop per node multiplexing thousands of nonblocking
+//!   loopback connections with zero-copy [`FrameView`] decode and
+//!   allocation-free [`encode_frame`] sends — no thread per lane.
 //!
 //! The distributed loop runtime in `eucon-core` drives these endpoints;
 //! this crate knows nothing about control theory — it moves frames.
@@ -34,7 +31,6 @@ mod frame;
 mod lanes;
 mod middleware;
 mod poll;
-mod tcp;
 mod transport;
 
 pub use channel::{channel_pair, ChannelTransport};
@@ -44,7 +40,6 @@ pub use frame::{
     HEADER_LEN, MAX_PAYLOAD,
 };
 pub use lanes::{tcp_lane_fabric, LaneFabric};
-pub use middleware::{DelayLoss, DelayLossGate};
-pub use poll::{LaneToken, PollEngine};
-pub use tcp::{tcp_pair, TcpConfig, TcpTransport};
+pub use middleware::DelayLossGate;
+pub use poll::{LaneToken, PollEngine, TcpConfig};
 pub use transport::{Transport, TransportStats};

@@ -1,38 +1,32 @@
-//! Lane middleware: network effects composed over any backend.
+//! Lane middleware: network effects composed over any lane substrate.
 //!
-//! [`DelayLoss`] reimplements the closed loop's `LaneModel` semantics at
-//! the transport layer, so delayed and lossy lanes are a property of the
-//! *lane*, not of the loop: the same middleware wraps an in-process
-//! channel in tests and a real TCP lane in a deployment.
+//! [`DelayLossGate`] reimplements the closed loop's `LaneModel`
+//! semantics at the transport layer, so delayed and lossy lanes are a
+//! property of the *lane*, not of the loop: the distributed runtime
+//! puts one gate in front of every sending endpoint, whether the lane
+//! is an in-process channel or a TCP connection on a poll engine, and
+//! the sharded-control boundary bus does the same for its shard lanes.
 //!
 //! The draw order is kept identical to the in-loop lane model — a loss
 //! probability is consulted once per frame, and only at the moment the
 //! frame actually crosses the lane (after its delay elapses).  With the
-//! same seed, a `DelayLoss` lane and a `LaneModel` produce the same
-//! sequence of loss decisions; the transport-equivalence property test
-//! pins this.
-//!
-//! The decision core lives in [`DelayLossGate`], a transport-free
-//! delay/loss queue that both the `DelayLoss` wrapper and the poll
-//! engine's per-lane gates drive — one implementation, so the draw
-//! sequence cannot diverge between the transport-pair and poll paths.
+//! same seed, a gate and a `LaneModel` produce the same sequence of
+//! loss decisions; the transport-equivalence property test pins this.
 
 use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::error::TransportError;
 use crate::frame::Frame;
-use crate::transport::{Transport, TransportStats};
 
 /// The delay/loss decision core: a FIFO of in-flight frames released by
 /// [`DelayLossGate::tick`], each crossing frame drawing the loss
 /// probability exactly once at release time.
 ///
 /// Knows nothing about transports — the caller supplies the delivery
-/// action.  [`DelayLoss`] layers it over a [`Transport`]; the distributed
-/// runtime's poll path layers it over direct socket encodes.
+/// action, and folds [`DelayLossGate::accepted`] and
+/// [`DelayLossGate::lost`] into the sending endpoint's counters.
 #[derive(Debug)]
 pub struct DelayLossGate {
     /// Whole ticks each frame spends in flight.
@@ -115,80 +109,9 @@ impl DelayLossGate {
     }
 }
 
-/// A lane that delays every frame by a fixed number of ticks and drops
-/// each crossing frame independently with a configured probability.
-///
-/// [`Transport::tick`] is the middleware's clock: the loop runtime calls
-/// it once per sampling period, which releases frames whose delay has
-/// elapsed into the underlying backend (or drops them on a loss draw).
-#[derive(Debug)]
-pub struct DelayLoss<T> {
-    inner: T,
-    gate: DelayLossGate,
-}
-
-impl<T: Transport> DelayLoss<T> {
-    /// Wraps `inner` with `delay` ticks of latency and per-frame loss
-    /// probability `loss_probability` drawn from `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ loss_probability < 1`.
-    pub fn new(inner: T, delay: usize, loss_probability: f64, seed: u64) -> Self {
-        DelayLoss {
-            inner,
-            gate: DelayLossGate::new(delay, loss_probability, seed),
-        }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: Transport> Transport for DelayLoss<T> {
-    fn send(&mut self, frame: Frame) -> Result<(), TransportError> {
-        if let Some(frame) = self.gate.offer(frame) {
-            // Transparent configuration: straight through.
-            return self.inner.send(frame);
-        }
-        Ok(())
-    }
-
-    fn try_recv(&mut self) -> Result<Option<Frame>, TransportError> {
-        self.inner.try_recv()
-    }
-
-    fn tick(&mut self) {
-        let inner = &mut self.inner;
-        self.gate.tick(|frame| {
-            // A full inner queue applies its own backpressure policy;
-            // that is not a loss-model drop, so the error is ignored
-            // here and shows up in the inner stats instead.
-            let _ = inner.send(frame);
-        });
-        self.inner.tick();
-    }
-
-    fn stats(&self) -> TransportStats {
-        let mut stats = self.inner.stats();
-        // The inner backend never saw lost or still-delayed frames, so
-        // report sends as what this layer accepted and fold the losses in.
-        stats.sent = self.gate.accepted();
-        stats.dropped += self.gate.lost();
-        stats
-    }
-
-    fn name(&self) -> &'static str {
-        "delay-loss"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::channel_pair;
 
     fn report(seq: u64) -> Frame {
         Frame::UtilizationReport {
@@ -198,27 +121,28 @@ mod tests {
         }
     }
 
+    /// Offers `seq` and ticks once, returning what crossed this tick.
+    fn round(gate: &mut DelayLossGate, seq: u64) -> Vec<u64> {
+        let mut got: Vec<u64> = gate.offer(report(seq)).iter().map(Frame::seq).collect();
+        gate.tick(|f| got.push(f.seq()));
+        got
+    }
+
     #[test]
     fn zero_config_is_transparent() {
-        let (tx, mut rx) = channel_pair(8);
-        let mut lane = DelayLoss::new(tx, 0, 0.0, 0);
-        lane.send(report(1)).unwrap();
-        // No tick needed: passthrough.
-        assert_eq!(rx.try_recv().unwrap().unwrap().seq(), 1);
+        let mut gate = DelayLossGate::new(0, 0.0, 0);
+        assert!(gate.is_transparent());
+        // Offered frames cross at once, before any tick.
+        assert_eq!(gate.offer(report(1)).map(|f| f.seq()), Some(1));
+        assert_eq!(gate.accepted(), 1);
     }
 
     #[test]
     fn delay_holds_frames_for_d_ticks() {
-        let (tx, mut rx) = channel_pair(8);
-        let mut lane = DelayLoss::new(tx, 2, 0.0, 0);
-        for seq in 1..=4 {
-            lane.send(report(seq)).unwrap();
-            lane.tick();
-        }
-        // After 4 send+tick rounds with delay 2, frames 1 and 2 crossed.
-        assert_eq!(rx.try_recv().unwrap().unwrap().seq(), 1);
-        assert_eq!(rx.try_recv().unwrap().unwrap().seq(), 2);
-        assert_eq!(rx.try_recv().unwrap(), None);
+        let mut gate = DelayLossGate::new(2, 0.0, 0);
+        let crossed: Vec<Vec<u64>> = (1..=4).map(|seq| round(&mut gate, seq)).collect();
+        // With delay 2, frame k crosses on the tick of round k + 2.
+        assert_eq!(crossed, vec![vec![], vec![], vec![1], vec![2]]);
     }
 
     #[test]
@@ -227,24 +151,18 @@ mod tests {
         let p = 0.4;
         let seed = 42;
         let mut oracle = StdRng::seed_from_u64(seed);
-        let (tx, mut rx) = channel_pair(1024);
-        let mut lane = DelayLoss::new(tx, 0, p, seed);
+        let mut gate = DelayLossGate::new(0, p, seed);
         let mut expected = Vec::new();
         let mut got = Vec::new();
         for seq in 0..500u64 {
-            let delivered = oracle.gen::<f64>() >= p;
-            if delivered {
+            if oracle.gen::<f64>() >= p {
                 expected.push(seq);
             }
-            lane.send(report(seq)).unwrap();
-            lane.tick();
-            if let Some(f) = rx.try_recv().unwrap() {
-                got.push(f.seq());
-            }
+            got.extend(round(&mut gate, seq));
         }
         assert_eq!(got, expected);
-        assert_eq!(lane.stats().dropped, 500 - expected.len() as u64);
-        assert_eq!(lane.stats().sent, 500);
+        assert_eq!(gate.lost(), 500 - expected.len() as u64);
+        assert_eq!(gate.accepted(), 500);
     }
 
     #[test]
@@ -252,51 +170,21 @@ mod tests {
         // With delay 3, the first 3 ticks must not consume RNG draws.
         let p = 0.5;
         let seed = 9;
-        let (tx, _rx) = channel_pair(64);
-        let mut lane = DelayLoss::new(tx, 3, p, seed);
+        let mut gate = DelayLossGate::new(3, p, seed);
         for seq in 0..3 {
-            lane.send(report(seq)).unwrap();
-            lane.tick();
+            round(&mut gate, seq);
         }
-        // The lane's RNG must still be at its initial state: the fourth
-        // send+tick releases frame 0 with the seed's *first* draw.
+        // The gate's RNG must still be at its initial state: the fourth
+        // round releases frame 0 with the seed's *first* draw.
         let mut oracle = StdRng::seed_from_u64(seed);
         let first_draw_drops = oracle.gen::<f64>() < p;
-        lane.send(report(3)).unwrap();
-        lane.tick();
-        assert_eq!(lane.stats().dropped, u64::from(first_draw_drops));
-    }
-
-    #[test]
-    fn bare_gate_matches_the_wrapped_middleware_draw_for_draw() {
-        // The same seed must produce the same delivery sequence whether
-        // the gate runs inside DelayLoss or standalone (the poll path).
-        let (p, seed, delay) = (0.35, 123, 1);
-        let (tx, mut rx) = channel_pair(1024);
-        let mut wrapped = DelayLoss::new(tx, delay, p, seed);
-        let mut bare = DelayLossGate::new(delay, p, seed);
-        let mut bare_got = Vec::new();
-        let mut wrapped_got = Vec::new();
-        for seq in 0..200u64 {
-            wrapped.send(report(seq)).unwrap();
-            wrapped.tick();
-            while let Ok(Some(f)) = rx.try_recv() {
-                wrapped_got.push(f.seq());
-            }
-            if let Some(f) = bare.offer(report(seq)) {
-                bare_got.push(f.seq());
-            }
-            bare.tick(|f| bare_got.push(f.seq()));
-        }
-        assert_eq!(bare_got, wrapped_got);
-        assert_eq!(bare.lost(), wrapped.stats().dropped);
-        assert_eq!(bare.accepted(), 200);
+        round(&mut gate, 3);
+        assert_eq!(gate.lost(), u64::from(first_draw_drops));
     }
 
     #[test]
     #[should_panic(expected = "loss probability")]
     fn invalid_probability_rejected() {
-        let (tx, _rx) = channel_pair(1);
-        let _ = DelayLoss::new(tx, 0, 1.0, 0);
+        let _ = DelayLossGate::new(0, 1.0, 0);
     }
 }

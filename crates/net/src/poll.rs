@@ -13,20 +13,39 @@
 //! appended to one reused scratch buffer and written out with a bounded
 //! `WouldBlock` retry.
 //!
-//! Unlike [`crate::TcpTransport`], the poll engine does not reconnect: a
-//! lane that breaks stays broken and is reported through
-//! [`PollEngine::lane_connected`].  The layers above decide what a dead
-//! lane means — the distributed runtime falls back to stale-hold, and
-//! the control service escalates quarantine → eviction.
+//! The poll engine does not reconnect: a lane that breaks stays broken
+//! and is reported through [`PollEngine::lane_connected`].  The layers
+//! above decide what a dead lane means — the distributed runtime falls
+//! back to stale-hold, and the control service escalates quarantine →
+//! eviction.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::error::TransportError;
 use crate::frame::{encode_frame, Frame, FrameKind, FrameReader, FrameView};
-use crate::tcp::TcpConfig;
 use crate::transport::TransportStats;
+
+/// Tuning knobs of the TCP lanes a [`PollEngine`] drives.
+#[derive(Debug, Clone)]
+pub struct TcpConfig {
+    /// Longest a single send may spend retrying `WouldBlock` before the
+    /// frame is counted as dropped.
+    pub send_timeout: Duration,
+    /// Sets `TCP_NODELAY` on every connection (on by default: feedback
+    /// frames are tiny and latency-critical).
+    pub nodelay: bool,
+}
+
+impl Default for TcpConfig {
+    fn default() -> Self {
+        TcpConfig {
+            send_timeout: Duration::from_millis(5),
+            nodelay: true,
+        }
+    }
+}
 
 /// Identifies one registered lane inside a [`PollEngine`].
 ///

@@ -5,9 +5,9 @@ use crate::frame::Frame;
 
 /// Cumulative counters of one [`Transport`] endpoint.
 ///
-/// Middleware layers fold their own activity in (a delay/loss layer adds
-/// its drops to [`TransportStats::dropped`]), so the top of a transport
-/// stack reports the whole stack's behaviour.
+/// A delay/loss gate in front of an endpoint folds its own activity in
+/// (its offers become [`TransportStats::sent`], its losses add to
+/// [`TransportStats::dropped`]), so the counters describe the whole lane.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Frames accepted for sending at this endpoint.
@@ -15,9 +15,11 @@ pub struct TransportStats {
     /// Frames delivered to the caller by [`Transport::try_recv`].
     pub received: u64,
     /// Frames dropped before reaching the peer: backpressure evictions,
-    /// middleware losses, send timeouts.
+    /// gate losses, send timeouts.
     pub dropped: u64,
-    /// Times a broken connection was re-established.
+    /// Times a broken connection was re-established (no shipped backend
+    /// reconnects — a dead TCP lane stays dead — so this reads 0; the
+    /// field keeps the telemetry schema stable).
     pub reconnects: u64,
     /// Malformed frames encountered while decoding the inbound stream.
     pub decode_errors: u64,
@@ -50,21 +52,14 @@ impl TransportStats {
 /// immediately, and [`Transport::send`] blocks at most for the backend's
 /// configured send timeout.
 ///
-/// Two backends ship with `eucon-net`:
-///
-/// * [`channel_pair`] — in-process bounded SPSC queues with drop-oldest
-///   backpressure; the *ideal lane* whose closed-loop traces are
-///   bit-identical to the single-process loop.
-/// * [`tcp_pair`] — real loopback TCP over `std::net`: nonblocking
-///   sockets, partial-frame reassembly, reconnect with exponential
-///   backoff and jitter.
-///
-/// [`DelayLoss`] composes over any backend to model lossy or delayed
-/// lanes.
+/// The in-process backend, [`channel_pair`], ships with `eucon-net`:
+/// bounded SPSC queues with drop-oldest backpressure, the *ideal lane*
+/// whose closed-loop traces are bit-identical to the single-process
+/// loop.  TCP lanes run on the [`PollEngine`] instead, which multiplexes
+/// every lane of a node on one readiness loop.
 ///
 /// [`channel_pair`]: crate::channel_pair
-/// [`tcp_pair`]: crate::tcp_pair
-/// [`DelayLoss`]: crate::DelayLoss
+/// [`PollEngine`]: crate::PollEngine
 pub trait Transport: Send {
     /// Queues a frame for delivery to the peer endpoint.
     ///
@@ -84,47 +79,12 @@ pub trait Transport: Send {
     /// # Errors
     ///
     /// Returns [`TransportError`] for connection failures and malformed
-    /// inbound streams; after an error the endpoint keeps trying to
-    /// recover on subsequent calls (reconnecting backends re-establish
-    /// the connection with backoff).
+    /// inbound streams.
     fn try_recv(&mut self) -> Result<Option<Frame>, TransportError>;
 
-    /// Advances time-based machinery by one sampling period.
-    ///
-    /// Plain backends ignore it; the delay/loss middleware uses the tick
-    /// as its clock (a frame sent at period `k` over a lane with delay
-    /// `d` becomes receivable after `d` ticks).  The loop runtime calls
-    /// this exactly once per sampling period, after all sends.
-    fn tick(&mut self) {}
-
-    /// Cumulative counters for this endpoint (including any middleware
-    /// layered on top of it).
+    /// Cumulative counters for this endpoint.
     fn stats(&self) -> TransportStats;
 
     /// Short backend label for diagnostics (`"channel"`, `"tcp"`, ...).
     fn name(&self) -> &'static str;
-}
-
-// Boxed endpoints are endpoints, so middleware composes over
-// `Box<dyn Transport>` the same as over a concrete backend.
-impl<T: Transport + ?Sized> Transport for Box<T> {
-    fn send(&mut self, frame: Frame) -> Result<(), TransportError> {
-        (**self).send(frame)
-    }
-
-    fn try_recv(&mut self) -> Result<Option<Frame>, TransportError> {
-        (**self).try_recv()
-    }
-
-    fn tick(&mut self) {
-        (**self).tick()
-    }
-
-    fn stats(&self) -> TransportStats {
-        (**self).stats()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
 }

@@ -58,16 +58,20 @@
 //!
 //! * `ClosedLoop::builder(set).build()` → `LoopBuilder::new(set).local()`.
 //! * `DistributedLoop::builder(set).tcp(cfg).build()` →
-//!   `LoopBuilder::new(set).distributed(NetConfig::tcp())`.
+//!   `LoopBuilder::new(set).distributed(NetConfig::tcp_poll())`: the
+//!   distributed-loop builder is gone, and its lane setters (backend,
+//!   `report_lanes`, `command_lanes`, `recv_timeout`) live on
+//!   [`NetConfig`](prelude::NetConfig).  TCP lanes always run on the
+//!   poll engine, one readiness loop per node.
 //! * Matching on `eucon::Error` variants → [`Error::kind`] (the stable
 //!   [`ErrorKind`] taxonomy); the full layer-specific errors remain
 //!   reachable through `source()`.
-//! * The v0.2 prelude aliases (`ClosedLoopBuilder`,
-//!   `DistributedLoopBuilder`, `FleetConfig` and the layer-error
-//!   aliases) were deprecated in 0.3.0 and are now removed, per the
-//!   one-release deprecation policy (see the README's migration
-//!   section); the originals remain available from [`core`] for code
-//!   that needs the mode-specific builders directly.
+//! * The v0.2 prelude aliases (the mode-specific builders, `FleetConfig`
+//!   and the layer-error aliases) were deprecated in 0.3.0 and are now
+//!   removed, per the one-release deprecation policy; the README's
+//!   migration section lists every removed item.  `ClosedLoopBuilder`
+//!   and `FleetConfig` remain available from [`core`] for code that
+//!   needs the mode-specific builders directly.
 //!
 //! [`ControlService::spawn`]: prelude::ControlService::spawn
 
@@ -234,10 +238,10 @@ pub mod prelude {
     pub use eucon_core::{
         factory_fn, metrics, render, telemetry, AdminResponse, ClosedLoop, ControlService,
         ControllerFactory, ControllerSpec, DistributedLoop, EvictionPolicy, FaultSummary,
-        FleetPlan, FleetReport, LaneEngine, LaneModel, LoopBuilder, NetBackend, NetConfig, Plant,
-        PlantFactory, ReplayError, ReplayPlant, ReplayTrace, RunMetrics, RunResult, ServiceClient,
-        ServiceHandle, ServiceSummary, SimPlant, SimPlantFactory, SteadyRun, TenantEvent,
-        TenantHealth, TenantId, TenantReport, TenantSpec, VaryingRun,
+        FleetPlan, FleetReport, LaneModel, LoopBuilder, NetBackend, NetConfig, Plant, PlantFactory,
+        ReplayError, ReplayPlant, ReplayTrace, RunMetrics, RunResult, ServiceClient, ServiceHandle,
+        ServiceSummary, SimPlant, SimPlantFactory, SteadyRun, TenantEvent, TenantHealth, TenantId,
+        TenantReport, TenantSpec, VaryingRun,
     };
     #[cfg(feature = "os-plant")]
     pub use eucon_core::{OsPlant, OsPlantConfig};
